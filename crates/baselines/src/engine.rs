@@ -30,6 +30,7 @@ use hummingbird_dataplane::{
 use hummingbird_wire::path::HummingbirdPath;
 use hummingbird_wire::scion_mac::HopMacKey;
 use hummingbird_wire::{bwcls, IsdAs};
+use std::borrow::Cow;
 
 /// The per-packet Helia authenticator key: the per-slot grant key
 /// (`slot_key`) further bound to the AS-assigned monitor index and
@@ -144,8 +145,8 @@ impl HeliaDatapath {
                     AuthKey::new(helia_packet_key(drkey_master, parsed.addr.src, slot, id.2, id.3))
                 };
                 match key_cache {
-                    Some(cache) => cache.get_or_derive(&id, derive).clone(),
-                    None => derive(),
+                    Some(cache) => Cow::Borrowed(cache.get_or_derive(&id, derive)),
+                    None => Cow::Owned(derive()),
                 }
             },
             |parsed, inputs, now_ms| {
@@ -311,12 +312,10 @@ impl DrKeyDatapath {
             None,
             |parsed, _| {
                 let id = (parsed.addr.src, parsed.addr.src_host, epoch);
-                host_key_cache
-                    .get_or_derive(&id, || {
-                        let sv = cached_epoch_secret(epoch_secret, drkey_master, epoch);
-                        AuthKey::new(sv.as_to_host(parsed.addr.src, parsed.addr.src_host))
-                    })
-                    .clone()
+                Cow::Borrowed(host_key_cache.get_or_derive(&id, || {
+                    let sv = cached_epoch_secret(epoch_secret, drkey_master, epoch);
+                    AuthKey::new(sv.as_to_host(parsed.addr.src, parsed.addr.src_host))
+                }))
             },
             |_, _, _| false,
         );

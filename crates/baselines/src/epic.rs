@@ -56,6 +56,7 @@ use hummingbird_dataplane::{
 use hummingbird_wire::path::HummingbirdPath;
 use hummingbird_wire::scion_mac::HopMacKey;
 use hummingbird_wire::IsdAs;
+use std::borrow::Cow;
 
 /// The identity an EPIC authenticator key is derived from (and cached
 /// under): the packet's source AS and host plus the DRKey epoch.
@@ -82,7 +83,8 @@ struct EpicBatchScratch {
     /// Per-packet outcome of the read-only pipeline half; `Err` also
     /// encodes the strict-freshness drop decided in pass 1.
     prepared: Vec<Result<(stages::Parsed, Option<stages::FlyoverInputs>), DropReason>>,
-    /// Burst source-identity dedupe + cache resolution (shared helper).
+    /// Burst source-identity resolution against the cache (shared
+    /// helper).
     resolver: BurstKeyResolver<EpicKeyId>,
     /// `(src, host)` pairs that missed the cache, awaiting the sweeps.
     to_derive: Vec<(IsdAs, [u8; 4])>,
@@ -181,13 +183,13 @@ impl EpicDatapath {
                     AuthKey::new(epic_auth_key(secret, id.0, id.1))
                 };
                 Some(match key_cache {
-                    Some(cache) => cache.get_or_derive(&id, derive).clone(),
-                    None => derive(),
+                    Some(cache) => Cow::Borrowed(cache.get_or_derive(&id, derive)),
+                    None => Cow::Owned(derive()),
                 })
             }
             None => None,
         };
-        let flyover = inputs.as_ref().zip(auth_key.as_ref());
+        let flyover = inputs.as_ref().zip(auth_key.as_deref());
         // `eligible` is constant `false`: EPIC has no priority class, so
         // every validated packet — tagged or plain — rides best effort.
         let out = stages::complete(
@@ -213,13 +215,16 @@ impl Datapath for EpicDatapath {
 
     /// The batched EPIC pipeline, mirroring `BorderRouter::process_batch`:
     /// the read-only half (parse + MAC-input reconstruction + the strict
-    /// freshness gate) runs over the whole burst first; distinct source
-    /// identities are **deduplicated** and resolved against the
-    /// [`AuthKeyCache`]; the misses run through **three AES sweeps** (the
-    /// two-level [`DrKeySecret::as_to_host_batch`] plus one multi-key
+    /// freshness gate) runs over the whole burst first, resolving each
+    /// fresh packet's source identity against the [`AuthKeyCache`] to a
+    /// cache slot, or to one entry per distinct miss; the misses run
+    /// through **three AES sweeps** (the two-level
+    /// [`DrKeySecret::as_to_host_batch`] plus one multi-key
     /// [`Aes128::encrypt_blocks_per_key`]-shaped pass for the EPIC
     /// level); every fresh tag comes out of **one multi-key AES pass**
-    /// ([`flyover_tags_batch_with`]). The stateful stages (hop-field
+    /// ([`flyover_tags_batch_with`]) over keys borrowed in place; only
+    /// then are the derived keys moved into the cache, so no insert can
+    /// evict a key the burst still reads. The stateful stages (hop-field
     /// verification, replay suppression, header mutation) then run per
     /// packet in input order — verdicts and stats stay element-wise
     /// identical to sequential [`Datapath::process`] calls (enforced by
@@ -239,7 +244,6 @@ impl Datapath for EpicDatapath {
             tags,
         } = batch;
         prepared.clear();
-        resolver.begin();
         to_derive.clear();
         mac_inputs.clear();
         host_keys.clear();
@@ -248,7 +252,7 @@ impl Datapath for EpicDatapath {
         let epoch = epoch_of(now_ms / 1000);
 
         // Pass 1 (read-only): parse, strict-freshness gate, and
-        // source-identity dedupe resolved against the key cache.
+        // source-identity resolution against the key cache.
         for pkt in pkts.iter() {
             let mut prep = stages::prepare(pkt.as_bytes());
             if let Ok((parsed, Some(inputs))) = &prep {
@@ -268,8 +272,8 @@ impl Datapath for EpicDatapath {
         // The amortized per-burst work: the cache misses run through the
         // two DRKey sweeps, one multi-key EPIC-level sweep, and the key
         // expansion; then every fresh tag comes out of one multi-key
-        // pass.
-        to_derive.extend(resolver.pending().map(|&(src, host, _)| (src, host)));
+        // pass, and the cache takes the new keys last.
+        to_derive.extend(resolver.pending().iter().map(|&(src, host, _)| (src, host)));
         if !to_derive.is_empty() {
             let secret = cached_epoch_secret(epoch_secret, drkey_master, epoch);
             secret.as_to_host_batch(to_derive, blocks, ciphers, host_keys);
@@ -278,10 +282,15 @@ impl Datapath for EpicDatapath {
             blocks.clear();
             blocks.extend(std::iter::repeat_n(EPIC_LEVEL_BLOCK, host_keys.len()));
             Aes128::encrypt_blocks_with(|i| &ciphers[i], blocks);
-            resolver
-                .fill_pending(blocks.iter().map(|bytes| AuthKey::new(*bytes)), key_cache.as_mut());
+            resolver.fill_pending(blocks.iter().map(|bytes| AuthKey::new(*bytes)));
         }
-        flyover_tags_batch_with(|i| resolver.key_of(i), mac_inputs, blocks, tags);
+        flyover_tags_batch_with(
+            |i| resolver.key_of(i, key_cache.as_ref()),
+            mac_inputs,
+            blocks,
+            tags,
+        );
+        resolver.finish(key_cache.as_mut());
 
         // Pass 2 (stateful, in input order).
         out.reserve(pkts.len());

@@ -18,9 +18,8 @@
 //! budget possible.
 
 use crate::aes::Aes128;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash};
 
 /// Tag length ℓ_tag in bytes (§5.4: 6 bytes ⇒ ~2^47 online brute-force work).
 pub const TAG_LEN: usize = 6;
@@ -252,6 +251,10 @@ pub fn flyover_tags_batch_with<'a>(
     }));
 }
 
+/// Ways per [`AuthKeyCache`] set: a lookup compares at most this many
+/// tags, whatever the keys.
+pub const AUTH_KEY_CACHE_WAYS: usize = 4;
+
 /// A per-engine cache of expanded [`AuthKey`]s, so a reservation's AES
 /// key schedule is computed once per epoch instead of once per packet.
 ///
@@ -265,12 +268,15 @@ pub fn flyover_tags_batch_with<'a>(
 /// [`ResInfo`]; the baseline engines instantiate the same cache over
 /// their own key-hierarchy identifiers.
 ///
-/// Replacement is generational (segmented LRU): entries insert into a
-/// *hot* generation; when the hot generation fills, it becomes the
-/// *cold* one and the previous cold generation is dropped. A hit in
-/// cold promotes back to hot. This keeps lookups O(1), bounds the
-/// footprint to two generations, and ages out expired reservations
-/// without a sweeper. Hit/miss counters are exposed for
+/// The cache is set-associative with [`AUTH_KEY_CACHE_WAYS`] ways per
+/// set and LRU replacement within each set. A lookup hashes the key
+/// once with the keyed std hasher (keys come from packet bytes, so an
+/// attacker must not be able to aim them at one set), picks the set,
+/// and compares at most `AUTH_KEY_CACHE_WAYS` 32-bit tags before one
+/// full key compare. The ways index an entry slab that grows on insert,
+/// so construction allocates only the zeroed way array and an idle
+/// engine holds no key memory. Expired reservations age out through
+/// the LRU without a sweeper. Hit/miss counters are exposed for
 /// `DatapathStats`-style reporting.
 ///
 /// # Example
@@ -293,116 +299,144 @@ pub fn flyover_tags_batch_with<'a>(
 /// };
 ///
 /// let mut cache: AuthKeyCache = AuthKeyCache::new(1024);
-/// let first = cache.get_or_derive(&info, || sv.derive_key(&info)).clone();
-/// let again = cache.get_or_derive(&info, || unreachable!("second lookup hits")).clone();
+/// let first = cache.get_or_derive(&info, || sv.derive_key(&info)).to_bytes();
+/// let again = cache.get_or_derive(&info, || unreachable!("second lookup hits")).to_bytes();
 /// assert_eq!(first, again);
 /// assert_eq!((cache.hits(), cache.misses()), (1, 1));
 /// ```
 #[derive(Clone, Debug)]
 pub struct AuthKeyCache<K = ResInfo> {
-    hot: HashMap<K, AuthKey>,
-    cold: HashMap<K, AuthKey>,
-    /// Entries per generation (total footprint ≤ 2×).
-    generation_capacity: usize,
+    /// Keyed hasher: its output picks a key's set and tag.
+    hasher: RandomState,
+    /// Ways in use per set (`AUTH_KEY_CACHE_WAYS`, fewer only when the
+    /// capacity is smaller than one set).
+    ways: usize,
+    /// Per set, its ways in most- to least-recently-used order, empty
+    /// ways last. A way is `0` when empty, else `tag << 32 | (slot + 1)`
+    /// where `slot` indexes `entries`.
+    sets: Vec<[u64; AUTH_KEY_CACHE_WAYS]>,
+    /// The resident entries. Each is referenced by exactly one way; an
+    /// eviction overwrites the victim's slot in place, so the slab only
+    /// grows while empty ways remain.
+    entries: Vec<(K, AuthKey)>,
     hits: u64,
     misses: u64,
 }
 
-impl<K: Eq + Hash + Clone> AuthKeyCache<K> {
-    /// Creates a cache holding at most ~`capacity` expanded keys
-    /// (internally two generations of `capacity / 2`, minimum 1).
+impl<K: Eq + Hash> AuthKeyCache<K> {
+    /// Creates a cache holding at most `capacity` expanded keys (minimum
+    /// 1): `capacity / AUTH_KEY_CACHE_WAYS` sets, or one smaller set
+    /// below that. The remainder of a capacity that is not a multiple of
+    /// the ways goes unused.
+    ///
+    /// # Panics
+    ///
+    /// If `capacity` does not fit a 32-bit slot index.
     pub fn new(capacity: usize) -> Self {
-        let generation_capacity = (capacity / 2).max(1);
+        assert!(capacity < u32::MAX as usize, "AuthKeyCache capacity exceeds 32-bit slots");
+        let capacity = capacity.max(1);
+        let n_sets = (capacity / AUTH_KEY_CACHE_WAYS).max(1);
         AuthKeyCache {
-            hot: HashMap::with_capacity(generation_capacity),
-            cold: HashMap::new(),
-            generation_capacity,
+            hasher: RandomState::new(),
+            ways: capacity.min(AUTH_KEY_CACHE_WAYS),
+            // All-zero ways come from the zeroing allocator, with no
+            // per-slot initialisation; entries are allocated on insert.
+            sets: vec![[0; AUTH_KEY_CACHE_WAYS]; n_sets],
+            entries: Vec::new(),
             hits: 0,
             misses: 0,
         }
     }
 
-    /// Looks `key` up, counting a hit or miss; a hit in the cold
-    /// generation promotes the entry back to hot.
+    /// Looks `key` up, counting a hit or miss; a hit becomes its set's
+    /// most recently used way.
     pub fn lookup(&mut self, key: &K) -> Option<&AuthKey> {
-        if !self.hot.contains_key(key) {
-            match self.cold.remove(key) {
-                Some(v) => {
-                    self.hits += 1;
-                    self.promote(key.clone(), v);
-                }
-                None => {
-                    self.misses += 1;
-                    return None;
-                }
-            }
-        } else {
-            self.hits += 1;
+        let hash = self.hasher.hash_one(key);
+        let slot = self.probe(hash, key);
+        match slot {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
-        self.hot.get(key)
-    }
-
-    /// Inserts an expanded key (no counter change — pair with a failed
-    /// [`lookup`](AuthKeyCache::lookup)).
-    pub fn insert(&mut self, key: K, value: AuthKey) {
-        self.promote(key, value);
+        slot.map(|slot| &self.entries[slot].1)
     }
 
     /// The cached key for `key`, deriving (and caching) it on a miss.
-    ///
-    /// (Two map probes on the hot-generation fast path — `contains_key`
-    /// then `get` — rather than delegating to [`lookup`] and probing a
-    /// third time; the split sidesteps the NLL limitation on returning
-    /// a borrow out of one arm while mutating in the other.)
-    ///
-    /// [`lookup`]: AuthKeyCache::lookup
-    pub fn get_or_derive(&mut self, key: &K, derive: impl FnOnce() -> AuthKey) -> &AuthKey {
-        if self.hot.contains_key(key) {
-            self.hits += 1;
-        } else {
-            match self.cold.remove(key) {
-                Some(value) => {
-                    self.hits += 1;
-                    self.promote(key.clone(), value);
-                }
-                None => {
-                    self.misses += 1;
-                    let value = derive();
-                    self.promote(key.clone(), value);
-                }
+    pub fn get_or_derive(&mut self, key: &K, derive: impl FnOnce() -> AuthKey) -> &AuthKey
+    where
+        K: Clone,
+    {
+        let hash = self.hasher.hash_one(key);
+        let slot = match self.probe(hash, key) {
+            Some(slot) => {
+                self.hits += 1;
+                slot
             }
-        }
-        self.hot.get(key).expect("resident after count/promote")
+            None => {
+                self.misses += 1;
+                self.insert(hash, key.clone(), derive())
+            }
+        };
+        &self.entries[slot].1
     }
 
-    /// Records a hit that bypassed [`lookup`](AuthKeyCache::lookup) —
-    /// used by batch paths that dedupe repeated keys within one burst
-    /// (the repeat *would* have hit had the packets been processed
-    /// sequentially, so counters stay comparable across paths).
+    /// Records a hit that bypassed [`lookup`](AuthKeyCache::lookup):
+    /// [`BurstKeyResolver`] counts a repeat of a key that missed earlier
+    /// in the same burst this way, because processed sequentially the
+    /// repeat would have hit the key its first packet inserted.
     ///
-    /// Counter semantics under batching: a batch path performs all of a
-    /// burst's lookups against the cache state at burst start and
-    /// inserts afterwards, while sequential processing interleaves
-    /// inserts between lookups. The counts therefore match exactly
-    /// unless a generation boundary falls *inside* the burst — a
-    /// sequential mid-burst insert that flips generations can evict a
-    /// key (turning a later lookup into a miss) or, conversely, a
-    /// cold-resident key can survive one lookup longer under the batch
-    /// order. With the default capacity a flip occurs once per
-    /// thousands of distinct reservations, so the counters are exact in
-    /// steady state and off by at most the burst's repeats around a
-    /// flip. Counters are diagnostics; derivation is deterministic, so
-    /// verdicts never depend on them.
+    /// Counter semantics under batching: a batch path looks up a whole
+    /// burst against the cache state at burst start and inserts the
+    /// burst's misses afterwards, while sequential processing
+    /// interleaves inserts between lookups. The counts therefore match
+    /// exactly unless a sequential mid-burst insert evicts a key that a
+    /// later packet of the same burst looks up — which needs the burst's
+    /// misses to overflow one set — or the two orders leave a set's LRU
+    /// order different, which can change a later burst's count. With the
+    /// default capacity either is rare, and counters are diagnostics:
+    /// derivation is deterministic, so verdicts never depend on them.
     pub fn record_burst_hit(&mut self) {
         self.hits += 1;
     }
 
-    fn promote(&mut self, key: K, value: AuthKey) {
-        if self.hot.len() >= self.generation_capacity && !self.hot.contains_key(&key) {
-            self.cold = std::mem::take(&mut self.hot);
-            self.hot.reserve(self.generation_capacity);
+    /// The slot holding `key`, made its set's most recently used way.
+    /// Counts nothing.
+    fn probe(&mut self, hash: u64, key: &K) -> Option<usize> {
+        let set = set_index(hash, self.sets.len());
+        let ways = &mut self.sets[set][..self.ways];
+        let tag = hash & 0xffff_ffff;
+        for w in 0..ways.len() {
+            let way = ways[w];
+            if way == 0 {
+                return None; // empty ways trail the used ones
+            }
+            let slot = way_slot(way);
+            if way >> 32 == tag && self.entries[slot].0 == *key {
+                ways[..=w].rotate_right(1);
+                return Some(slot);
+            }
         }
-        self.hot.insert(key, value);
+        None
+    }
+
+    /// Inserts an absent key as its set's most recently used way,
+    /// evicting the least recently used one when the set is full, and
+    /// returns its slot. Counts nothing; every earlier slot of the
+    /// victim's entry is invalid afterwards.
+    fn insert(&mut self, hash: u64, key: K, value: AuthKey) -> usize {
+        let set = set_index(hash, self.sets.len());
+        let ways = &mut self.sets[set][..self.ways];
+        let victim = ways[ways.len() - 1];
+        let slot = if victim == 0 {
+            self.entries.push((key, value));
+            self.entries.len() - 1
+        } else {
+            let slot = way_slot(victim);
+            self.entries[slot] = (key, value);
+            slot
+        };
+        ways.rotate_right(1);
+        ways[0] = (hash & 0xffff_ffff) << 32 | (slot as u64 + 1);
+        slot
     }
 
     /// Cache hits since creation / the last counter reset.
@@ -421,162 +455,181 @@ impl<K: Eq + Hash + Clone> AuthKeyCache<K> {
         self.misses = 0;
     }
 
-    /// Number of currently cached keys (both generations).
+    /// Number of currently cached keys.
     pub fn len(&self) -> usize {
-        self.hot.len() + self.cold.len()
+        self.entries.len()
     }
 
     /// Whether the cache holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.hot.is_empty() && self.cold.is_empty()
+        self.entries.is_empty()
     }
 }
 
-/// Per-burst key dedupe + cache resolution shared by every batched
-/// engine: the scaffolding that used to be copied between
-/// `BorderRouter::process_batch` and `EpicDatapath::process_batch`
-/// (burst-local uniq map, the [`AuthKeyCache::record_burst_hit`]
-/// counter dance, the pass-2 key iterator), generic over the cache key
-/// so the counter-parity invariant lives in one place.
+/// The set a hash selects: multiply-shift range reduction over the high
+/// bits, leaving the low 32 bits to the tag.
+fn set_index(hash: u64, n_sets: usize) -> usize {
+    ((u128::from(hash) * n_sets as u128) >> 64) as usize
+}
+
+/// The entry slot of a non-empty way.
+fn way_slot(way: u64) -> usize {
+    (way as u32 - 1) as usize
+}
+
+/// Where a visited packet's key lives until the burst ends.
+#[derive(Clone, Copy, Debug)]
+enum BurstKey {
+    /// A cache slot found at visit time; valid until
+    /// [`BurstKeyResolver::finish`] inserts, the burst's first insert.
+    Cached(usize),
+    /// An index into the burst's derived keys.
+    Derived(usize),
+}
+
+/// Per-burst key resolution shared by every batched engine
+/// (`BorderRouter::process_batch`, `EpicDatapath::process_batch`),
+/// generic over the cache key so the counter-parity invariant lives in
+/// one place.
 ///
 /// Protocol, per burst:
 ///
-/// 1. [`begin`](BurstKeyResolver::begin) clears the burst-local state;
-/// 2. [`visit`](BurstKeyResolver::visit) registers each keyed packet's
-///    identity in burst order — the first appearance does exactly one
-///    cache lookup (queueing the id for the derive sweep on a miss),
-///    repeats count as burst hits;
-/// 3. the engine runs its batch derive sweep over
+/// 1. [`visit`](BurstKeyResolver::visit) resolves each keyed packet's
+///    identity in burst order: a cache hit records the slot, a miss is
+///    queued once for the derive sweep and its repeats share that entry;
+/// 2. the engine runs its batch derive sweep over
 ///    [`pending`](BurstKeyResolver::pending) and hands the keys back in
-///    the same order via [`fill_pending`](BurstKeyResolver::fill_pending)
-///    (which also populates the cache);
-/// 4. [`key_of`](BurstKeyResolver::key_of) serves pass 2 / the tag sweep
-///    with the resolved key of the `i`-th visited packet.
+///    the same order via [`fill_pending`](BurstKeyResolver::fill_pending);
+/// 3. [`key_of`](BurstKeyResolver::key_of) serves the tag sweep with the
+///    resolved key of the `i`-th visited packet — a borrow from the
+///    cache or from the derived keys, never a copy;
+/// 4. [`finish`](BurstKeyResolver::finish) moves the derived keys into
+///    the cache and clears the burst.
 ///
-/// The invariant this encodes: processed sequentially, a burst's first
-/// packet on an identity would miss (derive + insert) and every repeat
-/// would hit — so the batch path performs exactly one lookup and at most
-/// one insert per distinct identity, counts repeats via
-/// `record_burst_hit`, and hit/miss counters stay comparable across the
-/// sequential and batched paths (see `record_burst_hit` for the
-/// generation-boundary caveat).
+/// Inserts wait for `finish` so that no insert can evict a slot an
+/// earlier packet of the burst resolved to. Processed sequentially, a
+/// burst's first packet on an absent identity would miss (derive +
+/// insert) and every repeat would hit, so a repeat of a pending miss
+/// counts as a hit via [`AuthKeyCache::record_burst_hit`] (see there
+/// for when batch and sequential counters can differ). The resolver
+/// holds no map: a miss scans the burst's pending misses, which a burst
+/// bounds.
 #[derive(Clone, Debug)]
 pub struct BurstKeyResolver<K> {
-    /// The burst's distinct identities, in first-appearance order.
-    uniq_ids: Vec<K>,
-    /// Burst-local dedupe map: identity → index into `uniq_ids`.
-    uniq_index: HashMap<K, usize>,
-    /// One resolved key per entry of `uniq_ids` (`None` until resolved
-    /// from the cache or the derive sweep).
-    uniq_keys: Vec<Option<AuthKey>>,
-    /// The `uniq_keys` slots the derive sweep fills, in miss order.
-    pending_slots: Vec<usize>,
-    /// Per visited packet: index into `uniq_keys`.
-    key_of_pkt: Vec<usize>,
+    /// The burst's distinct cache misses, in miss order.
+    pending: Vec<K>,
+    /// The cache hash of each `pending` entry (`0` without a cache).
+    pending_hashes: Vec<u64>,
+    /// One derived key per `pending` entry, once filled.
+    derived: Vec<AuthKey>,
+    /// Per visited packet: where its key lives.
+    key_of_pkt: Vec<BurstKey>,
 }
 
 impl<K> Default for BurstKeyResolver<K> {
     fn default() -> Self {
         BurstKeyResolver {
-            uniq_ids: Vec::new(),
-            uniq_index: HashMap::new(),
-            uniq_keys: Vec::new(),
-            pending_slots: Vec::new(),
+            pending: Vec::new(),
+            pending_hashes: Vec::new(),
+            derived: Vec::new(),
             key_of_pkt: Vec::new(),
         }
     }
 }
 
-impl<K: Eq + Hash + Clone> BurstKeyResolver<K> {
+impl<K: Eq + Hash> BurstKeyResolver<K> {
     /// Creates an empty resolver (reusable across bursts; steady-state
     /// bursts allocate nothing once the vectors reach burst size).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Clears the burst-local state for a new burst.
-    pub fn begin(&mut self) {
-        self.uniq_ids.clear();
-        self.uniq_index.clear();
-        self.uniq_keys.clear();
-        self.pending_slots.clear();
-        self.key_of_pkt.clear();
-    }
-
-    /// Registers the identity of the next keyed packet of the burst and
-    /// resolves it against `cache`: a repeat within the burst counts as
-    /// a cache hit (it *would* have hit sequentially), a first
-    /// appearance does one [`AuthKeyCache::lookup`] and on a miss queues
-    /// the id for the engine's derive sweep.
-    pub fn visit(&mut self, id: K, cache: Option<&mut AuthKeyCache<K>>) {
-        let slot = match self.uniq_index.entry(id) {
-            Entry::Occupied(e) => {
+    /// Resolves the identity of the next keyed packet of the burst
+    /// against `cache`, counting one hit or miss exactly as a
+    /// sequential lookup would: a resident key is a hit, a repeat of
+    /// this burst's pending miss is a hit, and anything else is a miss
+    /// queued for the engine's derive sweep.
+    pub fn visit(&mut self, id: K, mut cache: Option<&mut AuthKeyCache<K>>) {
+        let mut hash = 0;
+        if let Some(cache) = cache.as_deref_mut() {
+            hash = cache.hasher.hash_one(&id);
+            if let Some(slot) = cache.probe(hash, &id) {
+                cache.hits += 1;
+                self.key_of_pkt.push(BurstKey::Cached(slot));
+                return;
+            }
+        }
+        let repeat = (self.pending_hashes.iter().zip(&self.pending))
+            .position(|(&h, k)| h == hash && *k == id);
+        let index = match repeat {
+            Some(index) => {
                 if let Some(cache) = cache {
                     cache.record_burst_hit();
                 }
-                *e.get()
+                index
             }
-            Entry::Vacant(e) => {
-                let slot = self.uniq_ids.len();
-                let id = e.key().clone();
-                e.insert(slot);
-                self.uniq_ids.push(id);
-                self.uniq_keys.push(cache.and_then(|c| c.lookup(&self.uniq_ids[slot]).cloned()));
-                if self.uniq_keys[slot].is_none() {
-                    self.pending_slots.push(slot);
+            None => {
+                if let Some(cache) = cache {
+                    cache.misses += 1;
                 }
-                slot
+                self.pending.push(id);
+                self.pending_hashes.push(hash);
+                self.pending.len() - 1
             }
         };
-        self.key_of_pkt.push(slot);
+        self.key_of_pkt.push(BurstKey::Derived(index));
     }
 
     /// The identities that missed the cache, in miss order — the input
     /// of the engine's batch derive sweep.
-    pub fn pending(&self) -> impl Iterator<Item = &K> + '_ {
-        self.pending_slots.iter().map(|&slot| &self.uniq_ids[slot])
+    pub fn pending(&self) -> &[K] {
+        &self.pending
     }
 
-    /// Installs the derive sweep's keys — one per
-    /// [`pending`](BurstKeyResolver::pending) identity, same order —
-    /// inserting each into `cache` (miss already counted by
-    /// [`visit`](BurstKeyResolver::visit)).
+    /// Installs the derive sweep's keys, one per
+    /// [`pending`](BurstKeyResolver::pending) identity in the same order.
     ///
     /// # Panics
     ///
-    /// If `keys` yields fewer keys than there were pending identities —
+    /// If `keys` does not yield exactly one key per pending identity —
     /// an engine bug the later [`key_of`](BurstKeyResolver::key_of)
     /// would otherwise surface confusingly.
-    pub fn fill_pending(
-        &mut self,
-        keys: impl IntoIterator<Item = AuthKey>,
-        mut cache: Option<&mut AuthKeyCache<K>>,
-    ) {
-        let mut keys = keys.into_iter();
-        for &slot in &self.pending_slots {
-            let key = keys.next().expect("one derived key per pending identity");
-            if let Some(cache) = cache.as_deref_mut() {
-                cache.insert(self.uniq_ids[slot].clone(), key.clone());
-            }
-            self.uniq_keys[slot] = Some(key);
-        }
-        self.pending_slots.clear();
+    pub fn fill_pending(&mut self, keys: impl IntoIterator<Item = AuthKey>) {
+        self.derived.extend(keys);
+        assert_eq!(self.derived.len(), self.pending.len(), "one derived key per pending identity");
     }
 
-    /// The distinct identities of the burst, in first-appearance order
-    /// (e.g. for deduplicated policer pre-touching).
-    pub fn uniq_ids(&self) -> &[K] {
-        &self.uniq_ids
-    }
-
-    /// The resolved key of the `i`-th visited packet.
+    /// The resolved key of the `i`-th visited packet of the burst;
+    /// `cache` must be the one passed to [`visit`](BurstKeyResolver::visit).
     ///
     /// # Panics
     ///
     /// If the key is still unresolved (the engine skipped
-    /// [`fill_pending`](BurstKeyResolver::fill_pending)).
-    pub fn key_of(&self, i: usize) -> &AuthKey {
-        self.uniq_keys[self.key_of_pkt[i]].as_ref().expect("every burst key resolved")
+    /// [`fill_pending`](BurstKeyResolver::fill_pending)) or `cache` is
+    /// missing for a packet that hit it.
+    pub fn key_of<'a>(&'a self, i: usize, cache: Option<&'a AuthKeyCache<K>>) -> &'a AuthKey {
+        match self.key_of_pkt[i] {
+            BurstKey::Cached(slot) => &cache.expect("a cache hit needs its cache").entries[slot].1,
+            BurstKey::Derived(index) => self.derived.get(index).expect("every burst key resolved"),
+        }
+    }
+
+    /// Ends the burst: moves each derived key into `cache` (its miss was
+    /// counted by [`visit`](BurstKeyResolver::visit)) and clears the
+    /// burst-local state. Call it after the last
+    /// [`key_of`](BurstKeyResolver::key_of): an insert may evict a slot
+    /// the burst resolved to.
+    pub fn finish(&mut self, cache: Option<&mut AuthKeyCache<K>>) {
+        if let Some(cache) = cache {
+            let new = self.pending.drain(..).zip(self.pending_hashes.drain(..));
+            for ((id, hash), key) in new.zip(self.derived.drain(..)) {
+                cache.insert(hash, id, key);
+            }
+        }
+        self.pending.clear();
+        self.pending_hashes.clear();
+        self.derived.clear();
+        self.key_of_pkt.clear();
     }
 }
 
@@ -823,28 +876,129 @@ mod tests {
     }
 
     #[test]
-    fn auth_key_cache_evicts_generationally_and_promotes() {
+    fn auth_key_cache_len_bounded_by_capacity() {
         let sv = SecretValue::new([9u8; 16]);
         let base = sample_info();
+        for capacity in [1, 3, AUTH_KEY_CACHE_WAYS, 6, 64, 100] {
+            let mut cache: AuthKeyCache = AuthKeyCache::new(capacity);
+            for i in 0..10 * capacity as u32 {
+                let info = ResInfo { res_id: i, ..base };
+                cache.get_or_derive(&info, || sv.derive_key(&info));
+                assert!(cache.len() <= capacity, "capacity {capacity}: len {}", cache.len());
+            }
+            assert_eq!(cache.misses(), 10 * capacity as u64, "every key was distinct");
+            // Whatever stayed resident still maps to its own key.
+            for i in 0..10 * capacity as u32 {
+                let info = ResInfo { res_id: i, ..base };
+                if let Some(key) = cache.lookup(&info) {
+                    assert_eq!(*key, sv.derive_key(&info));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn auth_key_cache_lru_keeps_a_key_touched_every_ways_minus_one_inserts() {
+        let sv = SecretValue::new([10u8; 16]);
+        let base = sample_info();
+        let mut cache: AuthKeyCache = AuthKeyCache::new(64);
+        let n_sets = cache.sets.len();
+        let set_of =
+            |cache: &AuthKeyCache, info: &ResInfo| set_index(cache.hasher.hash_one(info), n_sets);
+        let hot = ResInfo { res_id: 0, ..base };
+        let hot_set = set_of(&cache, &hot);
+        let cold: Vec<ResInfo> = (1..)
+            .map(|i| ResInfo { res_id: i, ..base })
+            .filter(|info| set_of(&cache, info) == hot_set)
+            .take(8 * AUTH_KEY_CACHE_WAYS)
+            .collect();
+        cache.get_or_derive(&hot, || sv.derive_key(&hot));
+        for round in cold.chunks(AUTH_KEY_CACHE_WAYS - 1) {
+            for info in round {
+                cache.get_or_derive(info, || sv.derive_key(info));
+            }
+            let misses = cache.misses();
+            let key = cache.get_or_derive(&hot, || unreachable!("touched key was evicted"));
+            assert_eq!(*key, sv.derive_key(&hot));
+            assert_eq!(cache.misses(), misses);
+        }
+        // One cold insert more than the set holds evicts the hot key.
+        for info in &cold[..AUTH_KEY_CACHE_WAYS] {
+            cache.get_or_derive(info, || sv.derive_key(info));
+        }
+        assert!(cache.lookup(&hot).is_none(), "least recently used way is evicted");
+    }
+
+    #[test]
+    fn auth_key_cache_counts_hits_and_misses() {
+        let sv = SecretValue::new([11u8; 16]);
+        let base = sample_info();
         let info = |i: u32| ResInfo { res_id: i, ..base };
-        // Capacity 4 → generations of 2.
-        let mut cache: AuthKeyCache = AuthKeyCache::new(4);
+        // One set of four ways: residency is exactly the last four keys.
+        let mut cache: AuthKeyCache = AuthKeyCache::new(AUTH_KEY_CACHE_WAYS);
+        assert!(cache.is_empty());
+        for i in 0..4 {
+            cache.get_or_derive(&info(i), || sv.derive_key(&info(i)));
+        }
+        assert_eq!((cache.hits(), cache.misses()), (0, 4));
+        for i in 0..4 {
+            assert!(cache.lookup(&info(i)).is_some());
+        }
+        assert_eq!((cache.hits(), cache.misses()), (4, 4));
+        assert!(cache.lookup(&info(4)).is_none(), "a failed lookup inserts nothing");
+        assert_eq!((cache.hits(), cache.misses()), (4, 5));
+        // Key 0 is least recently used, so deriving key 4 evicts it.
+        cache.get_or_derive(&info(4), || sv.derive_key(&info(4)));
+        assert!(cache.lookup(&info(0)).is_none());
+        assert!(cache.lookup(&info(1)).is_some());
+        assert_eq!((cache.hits(), cache.misses()), (5, 7));
+        assert_eq!(cache.len(), 4);
+    }
+
+    #[test]
+    fn burst_resolver_defers_inserts_and_counts_like_sequential() {
+        let sv = SecretValue::new([12u8; 16]);
+        let base = sample_info();
+        let info = |i: u32| ResInfo { res_id: i, ..base };
+        let mut cache: AuthKeyCache = AuthKeyCache::new(AUTH_KEY_CACHE_WAYS);
         for i in 0..2 {
             cache.get_or_derive(&info(i), || sv.derive_key(&info(i)));
         }
-        // Third insert flips generations; 0 and 1 move to cold.
-        cache.get_or_derive(&info(2), || sv.derive_key(&info(2)));
-        assert_eq!(cache.len(), 3);
-        // A cold hit promotes back to hot.
-        assert!(cache.lookup(&info(0)).is_some());
-        // Fill until the original cold generation is dropped.
-        for i in 3..7 {
-            cache.get_or_derive(&info(i), || sv.derive_key(&info(i)));
+        cache.reset_counters();
+        // Two hits, then eight distinct misses (more than the set
+        // holds) with repeats of both kinds.
+        let burst: Vec<u32> = vec![0, 1, 2, 3, 4, 2, 5, 6, 7, 8, 9, 0, 9, 1];
+        let mut resolver = BurstKeyResolver::new();
+        for &i in &burst {
+            resolver.visit(info(i), Some(&mut cache));
         }
-        assert!(cache.len() <= 4, "footprint bounded by two generations");
-        let misses_before = cache.misses();
-        assert!(cache.lookup(&info(1)).is_none(), "aged-out entry misses");
-        assert_eq!(cache.misses(), misses_before + 1);
+        let pending = resolver.pending().to_vec();
+        assert_eq!(pending, (2..10).map(info).collect::<Vec<_>>());
+        assert_eq!((cache.hits(), cache.misses()), (6, 8));
+        assert_eq!(cache.len(), 2, "no insert before finish");
+        resolver.fill_pending(pending.iter().map(|p| sv.derive_key(p)));
+        for (i, &id) in burst.iter().enumerate() {
+            assert_eq!(*resolver.key_of(i, Some(&cache)), sv.derive_key(&info(id)));
+        }
+        resolver.finish(Some(&mut cache));
+        assert_eq!(cache.len(), AUTH_KEY_CACHE_WAYS);
+        for i in 6..10 {
+            assert!(cache.lookup(&info(i)).is_some(), "last inserts are resident");
+        }
+
+        // Without a cache, repeats still derive once.
+        let mut resolver = BurstKeyResolver::new();
+        for &i in &burst {
+            resolver.visit(info(i), None);
+        }
+        assert_eq!(resolver.pending().len(), 10);
+        let keys: Vec<AuthKey> = resolver.pending().iter().map(|p| sv.derive_key(p)).collect();
+        resolver.fill_pending(keys);
+        for (i, &id) in burst.iter().enumerate() {
+            assert_eq!(*resolver.key_of(i, None), sv.derive_key(&info(id)));
+        }
+        resolver.finish(None);
+        assert!(resolver.pending().is_empty());
     }
 
     #[test]

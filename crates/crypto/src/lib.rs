@@ -31,5 +31,6 @@ pub mod sig;
 pub use aes::{active_backend, ni_available, AesBackend};
 pub use flyover::{
     aggregate_mac, flyover_tags_batch, flyover_tags_batch_with, AuthKey, AuthKeyCache,
-    BurstKeyResolver, FlyoverMacInput, ResInfo, SecretValue, Tag, BW_ENC_MAX, RES_ID_MAX, TAG_LEN,
+    BurstKeyResolver, FlyoverMacInput, ResInfo, SecretValue, Tag, AUTH_KEY_CACHE_WAYS, BW_ENC_MAX,
+    RES_ID_MAX, TAG_LEN,
 };

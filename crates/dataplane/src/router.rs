@@ -25,6 +25,7 @@ use hummingbird_crypto::{
     SecretValue, Tag,
 };
 use hummingbird_wire::scion_mac::HopMacKey;
+use std::borrow::Cow;
 
 pub use crate::datapath::{DropReason, Verdict};
 
@@ -52,8 +53,11 @@ pub struct RouterConfig {
 }
 
 /// Default [`RouterConfig::auth_key_cache_slots`]: comfortably above the
-/// per-shard live-reservation working set of the evaluation workloads
-/// while keeping the footprint (≈230 B per expanded key) under ~2 MB.
+/// per-shard live-reservation working set of the evaluation workloads.
+/// The cache holds 2,048 sets of four ways; a full cache costs ≈230 B
+/// per expanded key (under ~2 MB), but entries are allocated as keys
+/// are inserted, so a new engine allocates only its lazily zeroed
+/// 64 KiB way array.
 pub const DEFAULT_AUTH_KEY_CACHE_SLOTS: u32 = 8_192;
 
 impl Default for RouterConfig {
@@ -98,6 +102,7 @@ pub mod stages {
     };
     use hummingbird_wire::meta::{PathMetaHdr, FLYOVER_UNITS, HF_UNITS, META_HDR_LEN};
     use hummingbird_wire::scion_mac::{update_seg_id, HopMacInput, HopMacKey};
+    use std::borrow::Cow;
 
     /// The current hop field, either kind.
     #[derive(Clone, Copy, Debug)]
@@ -515,16 +520,18 @@ pub mod stages {
     ///
     /// `derive_key` maps a flyover hop to its authenticator (`A_i =
     /// PRF_SV(ResInfo)` for Hummingbird, DRKey hierarchies for the
-    /// baselines); `eligible` decides priority-class eligibility (called
-    /// with `now_ms`; return `false` unconditionally for engines without
-    /// a priority class). `policer`/`dup` toggle the optional stages.
-    pub fn run_pipeline(
+    /// baselines), borrowed from the engine's key cache or owned when
+    /// freshly derived; `eligible` decides priority-class eligibility
+    /// (called with `now_ms`; return `false` unconditionally for engines
+    /// without a priority class). `policer`/`dup` toggle the optional
+    /// stages.
+    pub fn run_pipeline<'k>(
         pkt: &mut [u8],
         now_ns: u64,
         hop_key: &HopMacKey,
         policer: Option<&mut crate::policing::Policer>,
         dup: Option<&mut DuplicateSuppressor>,
-        derive_key: impl FnOnce(&Parsed, &FlyoverInputs) -> AuthKey,
+        derive_key: impl FnOnce(&Parsed, &FlyoverInputs) -> Cow<'k, AuthKey>,
         eligible: impl FnOnce(&Parsed, &FlyoverInputs, u64) -> bool,
     ) -> PipelineOutcome {
         let (parsed, inputs) = match prepare(pkt) {
@@ -538,7 +545,7 @@ pub mod stages {
             }
         };
         let auth_key = inputs.as_ref().map(|i| derive_key(&parsed, i));
-        let flyover = inputs.as_ref().zip(auth_key.as_ref());
+        let flyover = inputs.as_ref().zip(auth_key.as_deref());
         complete(pkt, now_ns, hop_key, policer, dup, &parsed, flyover, eligible)
     }
 }
@@ -550,10 +557,8 @@ pub mod stages {
 struct BatchScratch {
     /// Per-packet outcome of the read-only pipeline half.
     prepared: Vec<Result<(stages::Parsed, Option<stages::FlyoverInputs>), DropReason>>,
-    /// Burst reservation dedupe + cache resolution (shared helper).
+    /// Burst key resolution against the cache (shared helper).
     resolver: BurstKeyResolver<ResInfo>,
-    /// Reservations that missed the cache, awaiting the derivation sweep.
-    to_derive: Vec<ResInfo>,
     /// Per flyover packet: the MAC input of the tag sweep.
     mac_inputs: Vec<FlyoverMacInput>,
     /// 16-byte block scratch shared by both AES sweeps.
@@ -617,10 +622,10 @@ impl BorderRouter {
             Some(policer),
             dup.as_mut(),
             |_, inputs| match key_cache {
-                Some(cache) => cache
-                    .get_or_derive(&inputs.res_info, || sv.derive_key(&inputs.res_info))
-                    .clone(),
-                None => sv.derive_key(&inputs.res_info),
+                Some(cache) => Cow::Borrowed(
+                    cache.get_or_derive(&inputs.res_info, || sv.derive_key(&inputs.res_info)),
+                ),
+                None => Cow::Owned(sv.derive_key(&inputs.res_info)),
             },
             |parsed, inputs, now_ms| stages::freshness(cfg, parsed, &inputs.res_info, now_ms),
         );
@@ -638,55 +643,56 @@ impl Datapath for BorderRouter {
     }
 
     /// The batched Algorithm 2: the read-only pipeline half runs over the
-    /// whole burst first; the burst's reservations are **deduplicated**
-    /// and resolved against the [`AuthKeyCache`] (so a single-flow burst
-    /// derives its key at most once); the remaining misses are derived in
-    /// **one AES sweep** ([`SecretValue::derive_keys_batch`]); every
+    /// whole burst first, resolving each flyover packet's reservation
+    /// against the [`AuthKeyCache`] to a cache slot, or to one entry per
+    /// distinct miss (so a single-flow burst derives its key at most
+    /// once), and pre-touching its policer slot; the misses are derived
+    /// in **one AES sweep** ([`SecretValue::derive_keys_batch`]); every
     /// flyover tag of the burst comes out of **one multi-key AES pass**
-    /// ([`flyover_tags_batch_with`]); and the (deduplicated) policer
-    /// slots are pre-touched. The stateful stages (verification,
-    /// duplicate suppression, header mutation, policing) then run per
-    /// packet in input order — verdicts and stats stay element-wise
-    /// identical to sequential [`Datapath::process`] calls (the contract
-    /// `tests/prop_datapath.rs` enforces; repeats within a burst count
-    /// as cache hits, exactly as they would sequentially — see
-    /// [`AuthKeyCache::record_burst_hit`] for the cache-counter
-    /// semantics: when a cache-generation boundary falls inside a burst,
-    /// the *counters* (never the verdicts) can read slightly differently
-    /// from sequential processing).
+    /// ([`flyover_tags_batch_with`]) over keys borrowed in place; only
+    /// then are the derived keys moved into the cache, so no insert can
+    /// evict a key the burst still reads. The stateful stages
+    /// (verification, duplicate suppression, header mutation, policing)
+    /// then run per packet in input order — verdicts and stats stay
+    /// element-wise identical to sequential [`Datapath::process`] calls
+    /// (the contract `tests/prop_datapath.rs` enforces; repeats within a
+    /// burst count as cache hits, exactly as they would sequentially —
+    /// see [`AuthKeyCache::record_burst_hit`] for the cache-counter
+    /// semantics: when a burst's misses overflow one cache set, the
+    /// *counters* (never the verdicts) can read differently from
+    /// sequential processing).
     fn process_batch(&mut self, pkts: &mut [PacketBuf], now_ns: u64, out: &mut Vec<Verdict>) {
         let BorderRouter { sv, hop_key, cfg, policer, dup, key_cache, stats, batch } = self;
-        let BatchScratch { prepared, resolver, to_derive, mac_inputs, blocks, derived, tags } =
-            batch;
+        let BatchScratch { prepared, resolver, mac_inputs, blocks, derived, tags } = batch;
         prepared.clear();
-        resolver.begin();
-        to_derive.clear();
         mac_inputs.clear();
         derived.clear();
         tags.clear();
 
-        // Pass 1 (read-only): parse + flyover-input reconstruction, with
-        // burst-local reservation dedupe resolved against the key cache.
+        // Pass 1 (read-only): parse + flyover-input reconstruction, key
+        // resolution against the cache, and policer-slot pre-touching.
         for pkt in pkts.iter() {
             let prep = stages::prepare(pkt.as_bytes());
             if let Ok((_, Some(inputs))) = &prep {
                 resolver.visit(inputs.res_info, key_cache.as_mut());
+                policer.pre_touch(inputs.res_info.res_id);
                 mac_inputs.push(inputs.mac_input);
             }
             prepared.push(prep);
         }
 
         // The amortized per-burst work: one AES sweep over the key
-        // derivations that missed the cache, one multi-key AES pass over
-        // every flyover tag, and a prefetch pass over the deduplicated
-        // policing slots.
-        to_derive.extend(resolver.pending().copied());
-        sv.derive_keys_batch(to_derive, blocks, derived);
-        resolver.fill_pending(derived.drain(..), key_cache.as_mut());
-        for info in resolver.uniq_ids() {
-            policer.pre_touch(info.res_id);
-        }
-        flyover_tags_batch_with(|i| resolver.key_of(i), mac_inputs, blocks, tags);
+        // derivations that missed the cache and one multi-key AES pass
+        // over every flyover tag; the cache takes the new keys last.
+        sv.derive_keys_batch(resolver.pending(), blocks, derived);
+        resolver.fill_pending(derived.drain(..));
+        flyover_tags_batch_with(
+            |i| resolver.key_of(i, key_cache.as_ref()),
+            mac_inputs,
+            blocks,
+            tags,
+        );
+        resolver.finish(key_cache.as_mut());
 
         // Pass 2 (stateful, in input order).
         out.reserve(pkts.len());

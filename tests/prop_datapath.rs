@@ -8,6 +8,9 @@
 //!    whether a packet's bytes are used directly, round-tripped through
 //!    the owned `Packet` repr, or wrapped in a checked zero-copy
 //!    `PacketView` first.
+//! 3. **Cache policy is invisible** — with a one-set key cache that every
+//!    burst overflows, batch ≡ sequential ≡ uncached verdicts, so no
+//!    eviction can leave a packet reading another reservation's key.
 
 use hummingbird::dataplane::{
     forge_path, BeaconHop, Datapath, DatapathBuilder, PacketBuf, RouterConfig, SourceGenerator,
@@ -17,6 +20,7 @@ use hummingbird::{IsdAs, ResInfo, SecretValue};
 use hummingbird_baselines::{
     slot_of, DrKeyDatapath, EpicDatapath, EpicSender, HeliaDatapath, HeliaSender,
 };
+use hummingbird_crypto::AUTH_KEY_CACHE_WAYS;
 use hummingbird_wire::scion_mac::HopMacKey;
 use hummingbird_wire::{Packet, PacketView};
 use proptest::prelude::*;
@@ -82,7 +86,11 @@ fn router() -> DatapathBuilder {
     DatapathBuilder::new(sv(0), hop_key(0))
 }
 
-/// An EPIC-stamped mixed workload from up to three source ASes: per spec
+/// Source ASes [`epic_workload`] can stamp from.
+const EPIC_SOURCES: u64 = 16;
+
+/// An EPIC-stamped mixed workload from up to [`EPIC_SOURCES`] source
+/// ASes: per spec
 /// `(src_choice, payload, stale, corrupt)`, a packet authenticated under
 /// the verifying AS's EPIC key for that source — optionally stamped 10 s
 /// in the past (→ the strict-freshness drop) or corrupted (→ BadMac) —
@@ -94,7 +102,7 @@ fn epic_workload(specs: &[(u8, u16, bool, bool)]) -> Vec<Vec<u8>> {
     ];
     let path = forge_path(&hops, NOW_S as u32 - 100, 0x1234);
     let mut issuer = EpicDatapath::new([0xB5; 16], hop_key(0), RouterConfig::default());
-    let mut senders: Vec<EpicSender> = (0..3u64)
+    let mut senders: Vec<EpicSender> = (0..EPIC_SOURCES)
         .map(|i| {
             let src = IsdAs::new(1, 0x10 + i);
             let key = issuer.auth_key(src, [0, 0, 0, 1], NOW_S);
@@ -108,7 +116,7 @@ fn epic_workload(specs: &[(u8, u16, bool, bool)]) -> Vec<Vec<u8>> {
         .enumerate()
         .map(|(i, &(src_choice, payload, stale, corrupt))| {
             let at = if stale { NOW_MS - 10_000 } else { NOW_MS } + i as u64;
-            let sender = &mut senders[usize::from(src_choice) % 3];
+            let sender = &mut senders[usize::from(src_choice) % EPIC_SOURCES as usize];
             let mut bytes = sender.generate(&vec![0u8; usize::from(payload)], at).unwrap();
             if corrupt {
                 let idx = 56 + (i % 12);
@@ -117,6 +125,109 @@ fn epic_workload(specs: &[(u8, u16, bool, bool)]) -> Vec<Vec<u8>> {
             bytes
         })
         .collect()
+}
+
+/// A Hummingbird workload over `RESERVATIONS` reservations on hop 0 of a
+/// two-hop path: per spec `(reservation, payload, corrupt)`.
+fn multi_reservation_workload(specs: &[(usize, u16, bool)]) -> Vec<Vec<u8>> {
+    let hops: Vec<BeaconHop> = (0..2)
+        .map(|i| {
+            let (cons_ingress, cons_egress) = interfaces(2, i);
+            BeaconHop { key: hop_key(i), cons_ingress, cons_egress }
+        })
+        .collect();
+    let path = forge_path(&hops, NOW_S as u32 - 100, 0x1234);
+    let (ingress, egress) = interfaces(2, 0);
+    let mut senders: Vec<SourceGenerator> = (0..RESERVATIONS as u32)
+        .map(|r| {
+            let res_info = ResInfo {
+                ingress,
+                egress,
+                res_id: 100 + r,
+                bw_encoded: 700,
+                res_start: NOW_S as u32 - 50,
+                duration: 600,
+            };
+            let key = sv(0).derive_key(&res_info);
+            let mut sender =
+                SourceGenerator::new(IsdAs::new(1, 0x10), IsdAs::new(2, 0x20), path.clone());
+            sender.attach_reservation(0, SourceReservation { res_info, key }).unwrap();
+            sender
+        })
+        .collect();
+    specs
+        .iter()
+        .enumerate()
+        .map(|(i, &(res, payload, corrupt))| {
+            let sender = &mut senders[res % RESERVATIONS];
+            let mut bytes =
+                sender.generate(&vec![0u8; usize::from(payload)], NOW_MS + i as u64).unwrap();
+            if corrupt {
+                bytes[56 + (i % 12)] ^= 0x40;
+            }
+            bytes
+        })
+        .collect()
+}
+
+/// Reservations (or EPIC sources) the eviction property draws from.
+const RESERVATIONS: usize = 16;
+
+/// Burst reservation choices with at least `distinct` different
+/// reservations in every burst of `burst` packets: each burst opens
+/// with `distinct` consecutive reservations (from a per-burst offset),
+/// then repeats `choices`, and the whole burst is rotated by `rot`.
+fn overflowing_bursts(
+    distinct: usize,
+    burst: usize,
+    choices: &[(usize, u16, bool)],
+    rot: usize,
+) -> Vec<(usize, u16, bool)> {
+    let mut specs = Vec::new();
+    for (b, chunk) in choices.chunks(burst - distinct).enumerate() {
+        let mut one: Vec<(usize, u16, bool)> =
+            (0..distinct).map(|r| ((r + 3 * b) % RESERVATIONS, 64, false)).collect();
+        one.extend_from_slice(chunk);
+        let len = one.len();
+        one.rotate_left(rot % len);
+        specs.extend(one);
+    }
+    specs
+}
+
+/// Asserts that a one-set key cache (`AUTH_KEY_CACHE_WAYS` slots) that
+/// every burst overflows changes no verdict: batch verdicts equal
+/// sequential ones, both equal those of an uncached engine, and core
+/// stats agree once the cache counters are masked.
+fn assert_cache_policy_invisible(
+    make: impl Fn(u32) -> Box<dyn Datapath + Send>,
+    packets: &[Vec<u8>],
+    burst: usize,
+) -> Result<(), String> {
+    let tiny = AUTH_KEY_CACHE_WAYS as u32;
+    let mut seq = make(tiny);
+    let sequential: Vec<_> = packets.iter().map(|p| seq.process(&mut p.clone(), NOW_NS)).collect();
+    let mut uncached = make(0);
+    let reference: Vec<_> =
+        packets.iter().map(|p| uncached.process(&mut p.clone(), NOW_NS)).collect();
+    let mut batch = make(tiny);
+    let mut batched = Vec::new();
+    for chunk in packets.chunks(burst) {
+        let mut bufs: Vec<PacketBuf> = chunk.iter().cloned().map(PacketBuf::new).collect();
+        batch.process_batch(&mut bufs, NOW_NS, &mut batched);
+    }
+    prop_assert_eq!(&batched, &sequential, "batch verdicts diverge from sequential");
+    prop_assert_eq!(&sequential, &reference, "cached verdicts diverge from uncached");
+    prop_assert!(seq.stats().key_cache_misses > 0, "the workload must miss the tiny cache");
+    let masked = |engine: &(dyn Datapath + Send)| {
+        let mut stats = engine.stats();
+        stats.key_cache_hits = 0;
+        stats.key_cache_misses = 0;
+        stats
+    };
+    prop_assert_eq!(masked(&*batch), masked(&*seq), "batch core stats diverged");
+    prop_assert_eq!(masked(&*seq), masked(&*uncached), "cached core stats diverged");
+    Ok(())
 }
 
 /// Asserts batch ≡ sequential on two identically-configured engines.
@@ -293,6 +404,47 @@ proptest! {
         prop_assert_eq!(&out_a, &out_b, "cached verdict diverged (batch)");
         prop_assert_eq!(cached_batch.stats(), cached.stats(),
             "batch cache counters diverged from sequential");
+    }
+
+    /// In-burst eviction: bursts of at least eight distinct reservations
+    /// overflow a one-set cache, so a burst's own misses evict each
+    /// other (and its earlier hits) when they are inserted. Any stale
+    /// slot read would MAC with another reservation's key and flip a
+    /// verdict to a bad-MAC drop.
+    #[test]
+    fn tiny_key_cache_eviction_keeps_verdicts(
+        distinct in 8usize..RESERVATIONS,
+        extra in 0usize..24,
+        choices in prop::collection::vec((0usize..RESERVATIONS, 0u16..400, any::<bool>()), 1..64),
+        rot in 0usize..64,
+        dup in any::<bool>(),
+    ) {
+        let burst = distinct + extra + 1;
+        let specs = overflowing_bursts(distinct, burst, &choices, rot);
+        let packets = multi_reservation_workload(&specs);
+        assert_cache_policy_invisible(
+            |slots| router().auth_key_cache(slots).duplicate_suppression(dup).build_boxed(),
+            &packets,
+            burst,
+        )?;
+
+        let epic_specs: Vec<(u8, u16, bool, bool)> = specs
+            .iter()
+            .map(|&(src, payload, corrupt)| (src as u8, payload, false, corrupt))
+            .collect();
+        let epic_packets = epic_workload(&epic_specs);
+        assert_cache_policy_invisible(
+            |slots| {
+                let cfg = RouterConfig {
+                    duplicate_suppression: dup,
+                    auth_key_cache_slots: slots,
+                    ..RouterConfig::default()
+                };
+                Box::new(EpicDatapath::new([0xB5; 16], hop_key(0), cfg))
+            },
+            &epic_packets,
+            burst,
+        )?;
     }
 
     /// A `BorderRouter` verdict is identical whether the packet bytes are
